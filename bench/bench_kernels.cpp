@@ -1,9 +1,8 @@
-// Execution-tier benchmark: the four paper kernel families (MTTKRP-3/4,
-// TTMc-3, TTTP-3) timed on ONE planned FusedExecutor under both tiers —
-// the recursive interpreter and the lowered flat program — against the
-// hand-specialized kernels of specialized.cpp as the tight-loop ceiling.
-// The lowered column is the tier the KernelCache serves by default; the
-// specialized column bounds how much headroom remains.
+// Lowered vs specialized: the four paper kernel families (MTTKRP-3/4,
+// TTMc-3, TTTP-3) timed on one planned FusedExecutor — the lowered flat
+// program the KernelCache serves — against the hand-specialized kernels of
+// specialized.cpp as the tight-loop ceiling. The lowered/specialized ratio
+// ("vs_specialized" in the JSON) is how much headroom remains.
 //
 //   bench_kernels                     # table on stdout
 //   bench_kernels --json=out.json     # also emit the machine-readable run
@@ -24,23 +23,9 @@ struct KernelRow {
   std::string kernel;
   std::int64_t nnz = 0;
   int lowered_regions = 0;
-  double interp_s = 0;
   double lowered_s = 0;
   double spec_s = 0;  // 0 when no specialized implementation applies
 };
-
-/// Time one executor under a tier; the plan (and the partitioning it
-/// implies) is shared across tiers so the comparison isolates dispatch.
-double time_tier(FusedExecutor& exec, const Problem& p, Output& o,
-                 ExecTier tier, int reps) {
-  ExecArgs args;
-  args.sparse = &p.bound.csf;
-  args.dense = p.bound.dense;
-  args.out_dense = o.sparse_vals.empty() ? &o.dense : nullptr;
-  args.out_sparse = o.sparse_vals;
-  args.tier = tier;
-  return time_median([&] { exec.execute(args); }, reps);
-}
 
 }  // namespace
 
@@ -74,11 +59,10 @@ int main(int argc, char** argv) {
   };
 
   std::vector<KernelRow> rows;
-  Table table(strfmt("Execution tiers — interpreted vs lowered vs "
-                     "specialized, R=%lld",
+  Table table(strfmt("Lowered vs specialized, R=%lld",
                      static_cast<long long>(*rank)));
-  table.set_header({"kernel", "nnz", "regions", "interp[s]", "lowered[s]",
-                    "spec[s]", "lowered vs interp", "spec vs lowered"});
+  table.set_header({"kernel", "nnz", "regions", "lowered[s]", "spec[s]",
+                    "lowered/spec"});
   for (const Spec& s : specs) {
     Rng rng(static_cast<std::uint64_t>(*seed) ^
             hash_mix(s.name.size() * 31));
@@ -94,8 +78,12 @@ int main(int argc, char** argv) {
     row.nnz = p->sparse.nnz();
     row.lowered_regions = exec.lowered_regions();
     const int r = static_cast<int>(*reps);
-    row.interp_s = time_tier(exec, *p, o, ExecTier::kInterpret, r);
-    row.lowered_s = time_tier(exec, *p, o, ExecTier::kLowered, r);
+    ExecArgs args;
+    args.sparse = &p->bound.csf;
+    args.dense = p->bound.dense;
+    args.out_dense = o.sparse_vals.empty() ? &o.dense : nullptr;
+    args.out_sparse = o.sparse_vals;
+    row.lowered_s = time_median([&] { exec.execute(args); }, r);
 
     // The hand-specialized ceilings (specialized.cpp).
     if (s.name == "mttkrp3") {
@@ -128,23 +116,18 @@ int main(int argc, char** argv) {
           r);
     }
 
-    const auto ratio = [](double base, double ours) -> std::string {
-      if (base <= 0 || ours <= 0) return "-";
-      return strfmt("%.2fx", base / ours);
-    };
+    const bool has_spec = row.spec_s > 0 && row.lowered_s > 0;
     table.add_row({row.kernel,
                    human_count(static_cast<double>(row.nnz)),
                    std::to_string(row.lowered_regions),
-                   strfmt("%.4f", row.interp_s),
                    strfmt("%.4f", row.lowered_s),
-                   row.spec_s > 0 ? strfmt("%.4f", row.spec_s) : "-",
-                   ratio(row.interp_s, row.lowered_s),
-                   ratio(row.lowered_s, row.spec_s)});
+                   has_spec ? strfmt("%.4f", row.spec_s) : "-",
+                   has_spec ? strfmt("%.2fx", row.lowered_s / row.spec_s)
+                            : "-"});
     rows.push_back(row);
   }
-  table.add_note("one plan per kernel; both tiers share the executor, the "
-                 "partitioning, and the accumulation order (bit-identical "
-                 "outputs)");
+  table.add_note("one plan per kernel; lowered/spec > 1 means the lowered "
+                 "program is slower than the hand-specialized kernel");
   table.print(std::cout);
 
   if (!json->empty()) {
@@ -157,12 +140,12 @@ int main(int argc, char** argv) {
       const KernelRow& r = rows[i];
       os << "    {\"kernel\": \"" << r.kernel << "\", \"nnz\": " << r.nnz
          << ", \"lowered_regions\": " << r.lowered_regions
-         << ", \"interpreted_s\": " << strfmt("%.6f", r.interp_s)
          << ", \"lowered_s\": " << strfmt("%.6f", r.lowered_s)
          << ", \"specialized_s\": "
          << (r.spec_s > 0 ? strfmt("%.6f", r.spec_s) : std::string("null"))
-         << ", \"lowered_speedup\": "
-         << strfmt("%.3f", r.lowered_s > 0 ? r.interp_s / r.lowered_s : 0)
+         << ", \"vs_specialized\": "
+         << (r.spec_s > 0 ? strfmt("%.3f", r.lowered_s / r.spec_s)
+                          : std::string("null"))
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

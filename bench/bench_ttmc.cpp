@@ -1,10 +1,8 @@
 // Section 7 TTMc results: single-thread order-3 and order-4 TTMc versus
 // TACO (unfactorized), SparseLNR (partially fused) and CTF (pairwise).
 // Paper: 29.3x/125.9x over TACO, 4x-110.5x over SparseLNR, 0.8x-12.6x over
-// CTF; TACO/SparseLNR only run at all on two of the tensors. The SpTTN
-// column is reported per execution tier (interpreted and lowered) so the
-// tier gap is visible on the paper's own kernels; --json emits the run in
-// the bench_serve/bench_kernels schema.
+// CTF; TACO/SparseLNR only run at all on two of the tensors. --json emits
+// the run in the bench_serve/bench_kernels schema.
 #include <fstream>
 
 #include "bench_common.hpp"
@@ -19,7 +17,6 @@ struct JsonRow {
   std::string table;
   std::string tensor;
   std::int64_t nnz = 0;
-  double interp_s = 0;
   double lowered_s = 0;
   double taco_s = 0;
   double lnr_s = 0;
@@ -38,7 +35,6 @@ void write_json(const std::string& path, std::int64_t rank,
     };
     os << "    {\"kernel\": \"" << r.table << "\", \"tensor\": \""
        << r.tensor << "\", \"nnz\": " << r.nnz
-       << ", \"interpreted_s\": " << opt(r.interp_s)
        << ", \"lowered_s\": " << opt(r.lowered_s)
        << ", \"taco_s\": " << opt(r.taco_s)
        << ", \"sparselnr_s\": " << opt(r.lnr_s) << "}"
@@ -64,9 +60,8 @@ int main(int argc, char** argv) {
 
   Table t3(strfmt("Section 7 — order-3 TTMc, R=S=%lld",
                   static_cast<long long>(*rank)));
-  t3.set_header({"tensor", "nnz", "SpTTN-int[s]", "SpTTN-low[s]", "TACO[s]",
-                 "SparseLNR[s]", "CTF[s]", "tier", "vs TACO", "vs SpLNR",
-                 "vs CTF"});
+  t3.set_header({"tensor", "nnz", "SpTTN[s]", "TACO[s]", "SparseLNR[s]",
+                 "CTF[s]", "vs TACO", "vs SpLNR", "vs CTF"});
   for (const std::string& name :
        {std::string("nell-2"), std::string("vast-3d"), std::string("darpa"),
         std::string("synth3")}) {
@@ -74,20 +69,16 @@ int main(int argc, char** argv) {
     CooTensor t = make_preset_tensor(name, *scale, rng);
     auto p = make_problem(ttmc3_expr(), std::move(t),
                           {{"r", *rank}, {"s", *rank}}, rng);
-    const RunResult interp = run_spttn(*p, static_cast<int>(*reps), {},
-                                       nullptr, ExecTier::kInterpret);
-    const RunResult ours = run_spttn(*p, static_cast<int>(*reps), {},
-                                     nullptr, ExecTier::kLowered);
+    const RunResult ours = run_spttn(*p, static_cast<int>(*reps));
     const RunResult taco = run_taco_unfactorized(*p, 1);
     const RunResult lnr = run_sparselnr(*p, 1);
     const RunResult ctf = run_ctf_pairwise(*p, 1);
     t3.add_row({name, human_count(static_cast<double>(p->sparse.nnz())),
-                interp.cell(), ours.cell(), taco.cell(), lnr.cell(),
-                ctf.cell(), speedup_cell(interp, ours),
+                ours.cell(), taco.cell(), lnr.cell(), ctf.cell(),
                 speedup_cell(taco, ours), speedup_cell(lnr, ours),
                 speedup_cell(ctf, ours)});
-    jrows.push_back({"ttmc3", name, p->sparse.nnz(), interp.seconds,
-                     ours.seconds, taco.seconds, lnr.seconds});
+    jrows.push_back({"ttmc3", name, p->sparse.nnz(), ours.seconds,
+                     taco.seconds, lnr.seconds});
   }
   t3.add_note("paper: 29.3x (nell-2) and 125.9x (vast-3d) over TACO; "
               "110.5x and 4x over SparseLNR");
@@ -95,9 +86,8 @@ int main(int argc, char** argv) {
 
   Table t4(strfmt("Section 7 — order-4 TTMc (Figure 6 kernel), R=S=T=%lld",
                   static_cast<long long>(*rank)));
-  t4.set_header({"tensor", "nnz", "SpTTN-int[s]", "SpTTN-low[s]", "TACO[s]",
-                 "SparseLNR[s]", "tier", "vs TACO", "vs SpLNR", "maxdepth",
-                 "bufdim"});
+  t4.set_header({"tensor", "nnz", "SpTTN[s]", "TACO[s]", "SparseLNR[s]",
+                 "vs TACO", "vs SpLNR", "maxdepth", "bufdim"});
   for (const std::string& name : {std::string("nips"), std::string("synth4")}) {
     Rng rng(static_cast<std::uint64_t>(*seed) ^ hash_mix(name.size() * 13));
     CooTensor t = make_preset_tensor(name, *scale, rng);
@@ -105,20 +95,16 @@ int main(int argc, char** argv) {
     auto p = make_problem(ttmc4_expr(), std::move(t),
                           {{"r", *rank}, {"s", *rank}, {"t", *rank}}, rng);
     Plan plan;
-    const RunResult interp = run_spttn(*p, static_cast<int>(*reps), {},
-                                       nullptr, ExecTier::kInterpret);
-    const RunResult ours = run_spttn(*p, static_cast<int>(*reps), {}, &plan,
-                                     ExecTier::kLowered);
+    const RunResult ours = run_spttn(*p, static_cast<int>(*reps), {}, &plan);
     const RunResult taco = run_taco_unfactorized(*p, 1);
     const RunResult lnr = run_sparselnr(*p, 1);
     t4.add_row({name, human_count(static_cast<double>(p->sparse.nnz())),
-                interp.cell(), ours.cell(), taco.cell(), lnr.cell(),
-                speedup_cell(interp, ours), speedup_cell(taco, ours),
-                speedup_cell(lnr, ours),
+                ours.cell(), taco.cell(), lnr.cell(),
+                speedup_cell(taco, ours), speedup_cell(lnr, ours),
                 std::to_string(plan.tree.max_depth()),
                 std::to_string(plan.tree.max_buffer_dim())});
-    jrows.push_back({"ttmc4", name, p->sparse.nnz(), interp.seconds,
-                     ours.seconds, taco.seconds, lnr.seconds});
+    jrows.push_back({"ttmc4", name, p->sparse.nnz(), ours.seconds,
+                     taco.seconds, lnr.seconds});
   }
   t4.add_note("paper Fig. 6: SpTTN nest has depth 5 (SparseLNR: 6, "
               "intermediate L x R x S)");

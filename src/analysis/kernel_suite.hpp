@@ -59,9 +59,9 @@ struct LintOptionSet {
 
 /// The planner option sets spttn_lint sweeps (default, bound1 forcing the
 /// relaxation loop, one per alternative cost model, and the anytime
-/// strategy uncapped and node-budgeted). Shared with the
-/// lowered-vs-interpreted differential tests so "every paper kernel under
-/// every lint option set" means the same sweep everywhere.
+/// strategy uncapped and node-budgeted). Shared with the lowered-execution
+/// tests so "every paper kernel under every lint option set" means the
+/// same sweep everywhere.
 const std::vector<LintOptionSet>& lint_option_sets();
 
 }  // namespace spttn

@@ -1,6 +1,8 @@
 #include "apps/decompose.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "apps/linalg.hpp"
 #include "exec/kernels.hpp"
@@ -102,11 +104,38 @@ CpModel make_cp_model(const CooTensor& tensor, int rank, Rng& rng) {
 }
 
 double cp_fit(const CooTensor& tensor, const CpModel& model) {
-  // |T - M|^2 = |T|^2 - 2<T,M> + |M|^2.
-  const double tnorm2 = tensor_norm(tensor) * tensor_norm(tensor);
+  const int d = tensor.order();
+  const std::int64_t rank = model.rank;
+  SPTTN_CHECK_MSG(static_cast<int>(model.factors.size()) == d,
+                  "CP model has " << model.factors.size()
+                                  << " factors for an order-" << d
+                                  << " tensor");
+  for (int m = 0; m < d; ++m) {
+    const DenseTensor& f = model.factors[static_cast<std::size_t>(m)];
+    SPTTN_CHECK_MSG(f.order() == 2 && f.dim(0) == tensor.dim(m) &&
+                        f.dim(1) == rank,
+                    "CP factor " << m << " must be " << tensor.dim(m) << " x "
+                                 << rank);
+  }
+  // |T - M|^2 = |T|^2 - 2<T,M> + |M|^2. The model value at each nonzero is
+  // sum_r prod_m U_m(c_m, r), walked through factor row pointers.
+  const double tnorm = tensor_norm(tensor);
+  const double tnorm2 = tnorm * tnorm;
+  std::vector<const double*> rows(static_cast<std::size_t>(d));
   double inner = 0;
   for (std::int64_t e = 0; e < tensor.nnz(); ++e) {
-    inner += tensor.value(e) * model.value_at(tensor.coord(e));
+    const auto coord = tensor.coord(e);
+    for (int m = 0; m < d; ++m) {
+      const auto mi = static_cast<std::size_t>(m);
+      rows[mi] = model.factors[mi].data() + coord[mi] * rank;
+    }
+    double value = 0;
+    for (std::int64_t r = 0; r < rank; ++r) {
+      double p = 1;
+      for (const double* row : rows) p *= row[r];
+      value += p;
+    }
+    inner += tensor.value(e) * value;
   }
   DenseTensor gprod;
   for (std::size_t m = 0; m < model.factors.size(); ++m) {

@@ -89,13 +89,6 @@ struct PlannerOptions {
   /// Excluded from planner_options_hash: verification never changes the
   /// plan, so it must not fragment the kernel cache.
   bool verify = false;
-  /// Execute through the lowered tier (flat pre-resolved programs with
-  /// specialized inner kernels, exec/lower.hpp) instead of the interpreter.
-  /// Tier selection is per execution (ExecArgs::tier) and results are
-  /// bit-identical across tiers, so — like `verify` — this knob is
-  /// excluded from planner_options_hash and toggling it never fragments
-  /// the kernel cache; both settings share one cached executor.
-  bool lower = true;
   /// Search strategy. The anytime fields below only take effect (and only
   /// enter planner_options_hash) when this is kAnytime: under kExact they
   /// are inert, so toggling them must not fragment the kernel cache, while

@@ -1,12 +1,12 @@
-// Compiled-program IR shared between the interpreter (executor.cpp) and the
-// lowering tier (lower.cpp / lowered_program.cpp).
+// Compiled-program IR: the input of the lowering pass (lower.cpp) and of
+// the executor's parallel-region analysis (executor.cpp).
 //
 // FusedExecutor::Impl::compile flattens a LoopTree into these structs: loops
 // tagged as CSF traversals or dense ranges, terms with pre-split strided
 // accesses (outer indices resolved per iteration, trailing collapsed dense
-// loops as `inner` strides). The interpreter walks them directly; the
-// lowerer consumes a read-only CompiledView of the same program and emits a
-// further-specialized flat form.
+// loops as `inner` strides). The lowerer consumes a read-only CompiledView
+// of the program and emits the flat form execute() runs
+// (lowered_program.hpp).
 #pragma once
 
 #include <cstdint>

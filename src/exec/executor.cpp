@@ -13,8 +13,8 @@
 
 namespace spttn {
 
-// The compiled-program IR lives in exec/compiled_program.hpp, shared with
-// the lowering tier; the interpreter below keeps its unqualified spelling.
+// The compiled-program IR lives in exec/compiled_program.hpp; the lowerer
+// consumes it, and the parallel analysis below reads it.
 using cprog::Base;
 using cprog::CAccess;
 using cprog::CActionRef;
@@ -33,9 +33,8 @@ struct FusedExecutor::Impl {
   int offloaded_terms = 0;
   int collapsed_loops = 0;
 
-  /// Lowered form of the same program (lower.cpp), built at construction.
-  /// Execution picks the tier per call (ExecArgs::tier); `low.loop_of`
-  /// says which loops have a lowered implementation.
+  /// Lowered form of the same program (lower.cpp), built at construction:
+  /// the only form execute() runs.
   lowered::LoweredProgram low;
 
   bool collapse_dense = true;
@@ -75,97 +74,93 @@ struct FusedExecutor::Impl {
   /// workers. Non-shared buffers are private per worker runtime.
   std::vector<char> buffer_shared;
 
-  /// Mutable per-execution (and per-thread) state. The compiled program
-  /// above is immutable during execution, so parallel workers share it and
-  /// own one Runtime each.
+  /// Tensors bound for one execution.
+  struct Bindings {
+    const CsfTensor* csf = nullptr;
+    std::span<const double* const> dense;  ///< one per kernel input
+    double* out_dense = nullptr;
+    double* out_sparse = nullptr;
+  };
+
+  /// Mutable per-execution (and per-thread) state: loop indices, CSF
+  /// positions, private buffers, and the lowered program's slot table,
+  /// bound once when the runtime is built. The compiled and lowered
+  /// programs are immutable during execution, so parallel workers share
+  /// them and own one Runtime each.
   struct Runtime {
     std::vector<std::int64_t> idx_val;
     std::vector<std::int64_t> csf_node;
     std::vector<std::vector<double>> owned;  // storage for private buffers
-    std::vector<double*> buffers;            // per producing term
-    const CsfTensor* csf = nullptr;
-    std::vector<const double*> dense_data;
-    double* out_dense_data = nullptr;
-    double* out_sparse_data = nullptr;
-    /// Tier for this execution (copied from ExecArgs; worker runtimes
-    /// inherit it so parallel tasks dispatch identically).
-    ExecTier tier = ExecTier::kInterpret;
+    std::vector<double*> slots;              // one per low.slots entry
+    lowered::ExecCtx ctx;                    // points into the vectors above
+
+    Runtime() = default;
+    Runtime(Runtime&&) = default;
+    Runtime(const Runtime&) = delete;
+    Runtime& operator=(const Runtime&) = delete;
   };
-
-  /// Bind the lowered program to one runtime: resolve every interned slot
-  /// to its base pointer. Cheap (slots are few); built at each lowered
-  /// region dispatch.
-  lowered::ExecCtx make_ctx(Runtime& rt) const {
-    lowered::ExecCtx ctx;
-    ctx.idx_val = rt.idx_val.data();
-    ctx.csf_node = rt.csf_node.data();
-    ctx.csf = rt.csf;
-    ctx.leaf_level = static_cast<std::int32_t>(rt.csf_node.size()) - 1;
-    for (std::size_t s = 0; s < low.slots.size(); ++s) {
-      const lowered::SlotSource& src = low.slots[s];
-      double* p = nullptr;
-      switch (src.base) {
-        case Base::kDense:
-          p = const_cast<double*>(
-              rt.dense_data[static_cast<std::size_t>(src.id)]);
-          break;
-        case Base::kBuffer:
-          p = rt.buffers[static_cast<std::size_t>(src.id)];
-          break;
-        case Base::kSparseVal:
-          p = const_cast<double*>(rt.csf->vals().data());
-          break;
-        case Base::kOutDense:
-          p = rt.out_dense_data;
-          break;
-        case Base::kOutSparse:
-          p = rt.out_sparse_data;
-          break;
-      }
-      ctx.table[s] = p;
-    }
-    return ctx;
-  }
-
-  /// Tier dispatch for one loop over [begin, end): the single point both
-  /// the sequential walk and every parallel task (root chunks and nested
-  /// second-level splits) go through, so partitioning is tier-agnostic.
-  void run_loop_range(Runtime& rt, int loop_id, std::int64_t begin,
-                      std::int64_t end) const {
-    const std::int32_t li = low.loop_of[static_cast<std::size_t>(loop_id)];
-    if (rt.tier == ExecTier::kLowered && li >= 0) {
-      lowered::ExecCtx ctx = make_ctx(rt);
-      lowered::run_loop(low, ctx, li, begin, end);
-      return;
-    }
-    run_loop(rt, loops[static_cast<std::size_t>(loop_id)], begin, end);
-  }
 
   cprog::CompiledView view() const {
     return {loops, terms, top, buffer_len, kernel.sparse_ref().order()};
   }
 
-  /// Build a runtime. Buffers marked shared alias `shared` storage (one
-  /// allocation all workers see, writes disjoint by construction); the rest
-  /// are private zero-initialized copies. Pass null to own everything
-  /// (sequential execution).
-  Runtime make_runtime(std::vector<std::vector<double>>* shared) const {
+  /// Build a runtime and bind every lowered slot to its base pointer.
+  /// Buffers marked shared alias `shared` storage (one allocation all
+  /// workers see, writes disjoint by construction); the rest are private
+  /// zero-initialized copies. Pass null to own everything (sequential
+  /// execution).
+  Runtime make_runtime(const Bindings& b,
+                       std::vector<std::vector<double>>* shared) const {
     Runtime rt;
     rt.idx_val.assign(static_cast<std::size_t>(kernel.num_indices()), 0);
     rt.csf_node.assign(static_cast<std::size_t>(kernel.sparse_ref().order()),
                        0);
     rt.owned.resize(buffer_len.size());
-    rt.buffers.assign(buffer_len.size(), nullptr);
-    for (std::size_t b = 0; b < buffer_len.size(); ++b) {
-      if (buffer_len[b] == 0) continue;
-      if (shared != nullptr && buffer_shared[b]) {
-        rt.buffers[b] = (*shared)[b].data();
-      } else {
-        rt.owned[b].assign(static_cast<std::size_t>(buffer_len[b]), 0.0);
-        rt.buffers[b] = rt.owned[b].data();
+    rt.slots.reserve(low.slots.size());
+    for (const lowered::SlotSource& src : low.slots) {
+      const auto id = static_cast<std::size_t>(src.id);
+      double* p = nullptr;
+      switch (src.base) {
+        case Base::kDense:
+          p = const_cast<double*>(b.dense[id]);
+          break;
+        case Base::kBuffer:
+          if (shared != nullptr && buffer_shared[id]) {
+            p = (*shared)[id].data();
+          } else {
+            rt.owned[id].assign(static_cast<std::size_t>(buffer_len[id]),
+                                0.0);
+            p = rt.owned[id].data();
+          }
+          break;
+        case Base::kSparseVal:
+          p = const_cast<double*>(b.csf->vals().data());
+          break;
+        case Base::kOutDense:
+          p = b.out_dense;
+          break;
+        case Base::kOutSparse:
+          p = b.out_sparse;
+          break;
       }
+      rt.slots.push_back(p);
     }
+    rt.ctx.idx_val = rt.idx_val.data();
+    rt.ctx.csf_node = rt.csf_node.data();
+    rt.ctx.csf = b.csf;
+    rt.ctx.leaf_level = static_cast<std::int32_t>(rt.csf_node.size()) - 1;
+    rt.ctx.table = rt.slots.data();
     return rt;
+  }
+
+  /// Run compiled loop `loop_id` over [begin, end) through its lowered
+  /// form: the entry point of every parallel task (root chunks and nested
+  /// second-level splits).
+  void run_range(const Runtime& rt, int loop_id, std::int64_t begin,
+                 std::int64_t end) const {
+    lowered::run_loop(low, rt.ctx,
+                      low.loop_of[static_cast<std::size_t>(loop_id)], begin,
+                      end);
   }
 
   void compile(const LoopOrder& order);
@@ -180,18 +175,8 @@ struct FusedExecutor::Impl {
                     const std::vector<std::int64_t>& strides,
                     const std::vector<int>& inner_chain, CAccess* access);
 
-  void run_actions(Runtime& rt, const std::vector<CActionRef>& body) const;
-  void run_action(Runtime& rt, const CActionRef& a) const;
-  void run_loop(Runtime& rt, const CLoop& loop, std::int64_t begin,
-                std::int64_t end) const;
-  void execute_parallel(Runtime& rt, const ExecArgs& args, int want_threads,
-                        std::vector<std::vector<double>>& shared_bufs,
-                        ExecStats* stats) const;
-  void run_term(Runtime& rt, const CTerm& t) const;
-  void run_inner(const CTerm& t, std::size_t level, const double* lhs,
-                 const double* rhs, double* out) const;
-  const double* resolve(const Runtime& rt, const CAccess& a) const;
-  double* resolve_mut(const Runtime& rt, const CAccess& a) const;
+  void execute_parallel(const Bindings& b, int want_threads,
+                        std::int64_t dense_out_len, ExecStats* stats) const;
 };
 
 FusedExecutor::FusedExecutor(const Kernel& kernel,
@@ -204,7 +189,7 @@ FusedExecutor::FusedExecutor(const Kernel& kernel,
   impl_->tree = LoopTree::build(kernel, path, order);
   impl_->compile(order);
   impl_->analyze_parallel();
-  impl_->low = lower_program(impl_->view(), LowerLimits{});
+  impl_->low = lower_program(impl_->view());
 }
 
 FusedExecutor::FusedExecutor(const Kernel& kernel, const Plan& plan)
@@ -222,7 +207,11 @@ int FusedExecutor::collapsed_loops() const { return impl_->collapsed_loops; }
 bool FusedExecutor::collapse_dense() const { return impl_->collapse_dense; }
 
 int FusedExecutor::lowered_regions() const {
-  return impl_->low.lowered_root_regions;
+  const auto& top = impl_->low.top;
+  return static_cast<int>(
+      std::count_if(top.begin(), top.end(), [](const lowered::LOp& op) {
+        return op.kind == lowered::LOp::Kind::kLoop;
+      }));
 }
 
 std::size_t FusedExecutor::program_bytes() const {
@@ -246,10 +235,6 @@ std::size_t FusedExecutor::program_bytes() const {
   b += im.buffer_shared.capacity() * sizeof(char);
   b += im.low.bytes();
   return b;
-}
-
-void FusedExecutor::relower(const LowerLimits& limits) {
-  impl_->low = lower_program(impl_->view(), limits);
 }
 
 std::vector<FusedExecutor::ParallelRegionInfo>
@@ -612,130 +597,6 @@ void FusedExecutor::Impl::analyze_parallel() {
   }
 }
 
-const double* FusedExecutor::Impl::resolve(const Runtime& rt,
-                                           const CAccess& a) const {
-  const double* base = nullptr;
-  switch (a.base) {
-    case Base::kDense:
-      base = rt.dense_data[static_cast<std::size_t>(a.id)];
-      break;
-    case Base::kBuffer:
-      base = rt.buffers[static_cast<std::size_t>(a.id)];
-      break;
-    case Base::kSparseVal:
-      return rt.csf->vals().data() + rt.csf_node.back();
-    case Base::kOutDense:
-      base = rt.out_dense_data;
-      break;
-    case Base::kOutSparse:
-      return rt.out_sparse_data + rt.csf_node.back();
-  }
-  std::int64_t off = 0;
-  for (const auto& [id, stride] : a.outer) {
-    off += rt.idx_val[static_cast<std::size_t>(id)] * stride;
-  }
-  return base + off;
-}
-
-double* FusedExecutor::Impl::resolve_mut(const Runtime& rt,
-                                         const CAccess& a) const {
-  return const_cast<double*>(resolve(rt, a));
-}
-
-void FusedExecutor::Impl::run_inner(const CTerm& t, std::size_t level,
-                                    const double* lhs, const double* rhs,
-                                    double* out) const {
-  const std::size_t depth = t.extent.size();
-  if (level == depth) {
-    *out += *lhs * *rhs;
-    return;
-  }
-  const std::int64_t n = t.extent[level];
-  const std::int64_t sl = t.lhs.inner[level];
-  const std::int64_t sr = t.rhs.inner[level];
-  const std::int64_t so = t.out.inner[level];
-  if (level + 1 == depth) {
-    // Innermost loop: dispatch to a strided BLAS-style kernel.
-    if (so == 0) {
-      *out += xdot(n, lhs, sl, rhs, sr);
-    } else if (sl == 0) {
-      xaxpy(n, *lhs, rhs, sr, out, so);
-    } else if (sr == 0) {
-      xaxpy(n, *rhs, lhs, sl, out, so);
-    } else {
-      xhad(n, 1.0, lhs, sl, rhs, sr, out, so);
-    }
-    return;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    run_inner(t, level + 1, lhs + i * sl, rhs + i * sr, out + i * so);
-  }
-}
-
-void FusedExecutor::Impl::run_term(Runtime& rt, const CTerm& t) const {
-  run_inner(t, 0, resolve(rt, t.lhs), resolve(rt, t.rhs),
-            resolve_mut(rt, t.out));
-}
-
-void FusedExecutor::Impl::run_loop(Runtime& rt, const CLoop& loop,
-                                   std::int64_t begin,
-                                   std::int64_t end) const {
-  if (loop.sparse) {
-    const int lvl = loop.csf_level;
-    const auto idx = rt.csf->level_idx(lvl);
-    for (std::int64_t n = begin; n < end; ++n) {
-      rt.idx_val[static_cast<std::size_t>(loop.index)] =
-          idx[static_cast<std::size_t>(n)];
-      rt.csf_node[static_cast<std::size_t>(lvl)] = n;
-      run_actions(rt, loop.body);
-    }
-  } else {
-    auto& v = rt.idx_val[static_cast<std::size_t>(loop.index)];
-    for (std::int64_t i = begin; i < end; ++i) {
-      v = i;
-      run_actions(rt, loop.body);
-    }
-  }
-}
-
-void FusedExecutor::Impl::run_action(Runtime& rt, const CActionRef& a) const {
-  switch (a.kind) {
-    case CActionRef::Kind::kTerm:
-      run_term(rt, terms[static_cast<std::size_t>(a.id)]);
-      break;
-    case CActionRef::Kind::kReset:
-      xzero(buffer_len[static_cast<std::size_t>(a.id)],
-            rt.buffers[static_cast<std::size_t>(a.id)], 1);
-      break;
-    case CActionRef::Kind::kLoop: {
-      const CLoop& loop = loops[static_cast<std::size_t>(a.id)];
-      std::int64_t begin = 0;
-      std::int64_t end = 0;
-      if (loop.sparse) {
-        const int lvl = loop.csf_level;
-        if (lvl == 0) {
-          end = rt.csf->num_nodes(0);
-        } else {
-          const auto ptr = rt.csf->level_ptr(lvl - 1);
-          const std::int64_t parent =
-              rt.csf_node[static_cast<std::size_t>(lvl - 1)];
-          begin = ptr[static_cast<std::size_t>(parent)];
-          end = ptr[static_cast<std::size_t>(parent + 1)];
-        }
-      } else {
-        end = loop.extent;
-      }
-      run_loop_range(rt, a.id, begin, end);
-      break;
-    }
-  }
-}
-
-void FusedExecutor::Impl::run_actions(
-    Runtime& rt, const std::vector<CActionRef>& body) const {
-  for (const CActionRef& a : body) run_action(rt, a);
-}
-
 void FusedExecutor::execute(const ExecArgs& args) {
   Impl& im = *impl_;
   const Kernel& k = im.kernel;
@@ -763,22 +624,7 @@ void FusedExecutor::execute(const ExecArgs& args) {
                   "executed (stale cached plan?)");
   SPTTN_CHECK_MSG(static_cast<int>(args.dense.size()) == k.num_inputs(),
                   "expected one dense slot per kernel input");
-  const int want_threads = std::max(1, args.num_threads);
-  // Shared storage for buffers carrying values across top-level actions;
-  // workers alias it (their writes are disjoint by the safety analysis).
-  std::vector<std::vector<double>> shared_bufs;
-  if (want_threads > 1) {
-    shared_bufs.resize(im.buffer_len.size());
-    for (std::size_t b = 0; b < im.buffer_len.size(); ++b) {
-      if (im.buffer_len[b] > 0 && im.buffer_shared[b]) {
-        shared_bufs[b].assign(static_cast<std::size_t>(im.buffer_len[b]),
-                              0.0);
-      }
-    }
-  }
-  Impl::Runtime rt =
-      im.make_runtime(want_threads > 1 ? &shared_bufs : nullptr);
-  rt.dense_data.assign(args.dense.size(), nullptr);
+  std::vector<const double*> dense_data(args.dense.size(), nullptr);
   for (int i = 0; i < k.num_inputs(); ++i) {
     if (i == k.sparse_input()) continue;
     const DenseTensor* d = args.dense[static_cast<std::size_t>(i)];
@@ -792,17 +638,20 @@ void FusedExecutor::execute(const ExecArgs& args) {
           d->dim(m) == k.index_dim(ref.idx[static_cast<std::size_t>(m)]),
           "dense input '" << ref.name << "' dim mismatch in mode " << m);
     }
-    rt.dense_data[static_cast<std::size_t>(i)] = d->data();
+    dense_data[static_cast<std::size_t>(i)] = d->data();
   }
 
+  Impl::Bindings b;
+  b.csf = &csf;
+  b.dense = dense_data;
+  std::int64_t dense_out_len = 0;
   if (k.output_is_sparse()) {
     SPTTN_CHECK_MSG(static_cast<std::int64_t>(args.out_sparse.size()) ==
                         csf.nnz(),
                     "sparse output must have one value per nonzero");
-    rt.out_sparse_data = args.out_sparse.data();
-    rt.out_dense_data = nullptr;
+    b.out_sparse = args.out_sparse.data();
     if (!args.accumulate) {
-      xzero(csf.nnz(), rt.out_sparse_data, 1);
+      xzero(csf.nnz(), b.out_sparse, 1);
     }
   } else {
     SPTTN_CHECK_MSG(args.out_dense != nullptr, "dense output not bound");
@@ -814,19 +663,20 @@ void FusedExecutor::execute(const ExecArgs& args) {
                           k.index_dim(ref.idx[static_cast<std::size_t>(m)]),
                       "output dim mismatch in mode " << m);
     }
-    rt.out_dense_data = args.out_dense->data();
-    rt.out_sparse_data = nullptr;
+    b.out_dense = args.out_dense->data();
+    dense_out_len = args.out_dense->size();
     if (!args.accumulate) args.out_dense->zero();
   }
 
-  rt.csf = &csf;
-  rt.tier = args.tier;
-
+  const int want_threads = std::max(1, args.num_threads);
   if (want_threads > 1) {
-    im.execute_parallel(rt, args, want_threads, shared_bufs, args.stats);
+    im.execute_parallel(b, want_threads, dense_out_len, args.stats);
     return;
   }
-  im.run_actions(rt, im.top);
+  const Impl::Runtime rt = im.make_runtime(b, nullptr);
+  for (const lowered::LOp& op : im.low.top) {
+    lowered::run_op(im.low, rt.ctx, op);
+  }
   if (args.stats != nullptr) {
     // Report the sequential execution faithfully instead of clobbering the
     // caller's struct with defaults: the resolved thread count and the
@@ -837,9 +687,6 @@ void FusedExecutor::execute(const ExecArgs& args) {
     st.threads_requested = want_threads;
     st.threads_used = 1;
     st.total_regions = im.num_root_regions;
-    st.tier = args.tier;
-    st.lowered_regions =
-        args.tier == ExecTier::kLowered ? im.low.lowered_root_regions : 0;
     *args.stats = st;
   }
 }
@@ -922,8 +769,8 @@ void reduce_partials(ThreadPool& pool,
 
 }  // namespace
 
-/// Parallel interpretation of the compiled program: top-level actions run
-/// in order (each parallel_apply is a barrier), and every safe root loop is
+/// Parallel execution of the lowered program: top-level actions run in
+/// order (each parallel_apply is a barrier), and every safe root loop is
 /// partitioned across the process-wide work-stealing pool — by subtree
 /// nonzero count for sparse roots, evenly for dense roots. A region whose
 /// root partition is too coarse (extent below the lane budget) or too
@@ -932,24 +779,30 @@ void reduce_partials(ThreadPool& pool,
 /// loop level. Outputs write directly when tasks are disjoint in the
 /// partitioned indices, otherwise into per-task partials folded by a tiled
 /// deterministic reduction.
-void FusedExecutor::Impl::execute_parallel(
-    Runtime& rt, const ExecArgs& args, int want_threads,
-    std::vector<std::vector<double>>& shared_bufs, ExecStats* stats) const {
+void FusedExecutor::Impl::execute_parallel(const Bindings& b,
+                                           int want_threads,
+                                           std::int64_t dense_out_len,
+                                           ExecStats* stats) const {
   ThreadPool& pool = ThreadPool::global();
   ExecStats st;
   st.populated = true;
   st.threads_requested = want_threads;
   st.total_regions = num_root_regions;
-  st.tier = rt.tier;
-  st.lowered_regions =
-      rt.tier == ExecTier::kLowered ? low.lowered_root_regions : 0;
-  const CsfTensor& csf = *rt.csf;
-  const std::int64_t dense_out_len =
-      rt.out_dense_data != nullptr && args.out_dense != nullptr
-          ? args.out_dense->size()
-          : 0;
+  const CsfTensor& csf = *b.csf;
   const std::int64_t sparse_out_len =
-      rt.out_sparse_data != nullptr ? csf.nnz() : 0;
+      b.out_sparse != nullptr ? csf.nnz() : 0;
+  // Shared storage for buffers carrying values across top-level actions;
+  // workers alias it (their writes are disjoint by the safety analysis).
+  std::vector<std::vector<double>> shared_bufs(buffer_len.size());
+  for (std::size_t i = 0; i < buffer_len.size(); ++i) {
+    if (buffer_len[i] > 0 && buffer_shared[i]) {
+      shared_bufs[i].assign(static_cast<std::size_t>(buffer_len[i]), 0.0);
+    }
+  }
+  const Runtime rt = make_runtime(b, &shared_bufs);
+  const auto run_top = [&](std::size_t t) {
+    lowered::run_op(low, rt.ctx, low.top[t]);
+  };
   /// Static root chunks whose weight skew exceeds this trigger the nested
   /// split (1.0 = perfectly balanced).
   constexpr double kNestSkewThreshold = 1.25;
@@ -958,13 +811,13 @@ void FusedExecutor::Impl::execute_parallel(
     const CActionRef& a = top[t];
     const TopMeta& meta = top_meta[t];
     if (a.kind != CActionRef::Kind::kLoop) {
-      run_action(rt, a);  // scalar terms and shared-buffer resets
+      run_top(t);  // scalar terms and shared-buffer resets
       continue;
     }
     const CLoop& root = loops[static_cast<std::size_t>(a.id)];
     if (!meta.par_safe) {
       ++st.fallback_regions;
-      run_action(rt, a);
+      run_top(t);
       continue;
     }
     const CLoop* inner =
@@ -998,7 +851,7 @@ void FusedExecutor::Impl::execute_parallel(
                          : dense_w_each;
     };
     if (extent == 0 || total_w == 0) {
-      run_action(rt, a);
+      run_top(t);
       continue;
     }
 
@@ -1285,7 +1138,7 @@ void FusedExecutor::Impl::execute_parallel(
         st.partition_imbalance =
             std::max(st.partition_imbalance, static_imbalance);
       }
-      run_action(rt, a);
+      run_top(t);
       continue;
     }
 
@@ -1311,49 +1164,42 @@ void FusedExecutor::Impl::execute_parallel(
     }
 
     pool.parallel_apply(n_tasks, [&](std::int64_t c) {
-      Runtime wrt = make_runtime(&shared_bufs);
-      wrt.dense_data = rt.dense_data;
-      wrt.csf = rt.csf;
-      wrt.out_dense_data = rt.out_dense_data;
-      wrt.out_sparse_data = rt.out_sparse_data;
-      wrt.tier = rt.tier;
+      Bindings wb = b;
       if (!dense_direct) {
         auto& p = dense_partial[static_cast<std::size_t>(c)];
         p.assign(static_cast<std::size_t>(dense_out_len), 0.0);
-        wrt.out_dense_data = p.data();
+        wb.out_dense = p.data();
       }
       if (!sparse_direct) {
         auto& p = sparse_partial[static_cast<std::size_t>(c)];
         p.assign(static_cast<std::size_t>(sparse_out_len), 0.0);
-        wrt.out_sparse_data = p.data();
+        wb.out_sparse = p.data();
       }
+      const Runtime wrt = make_runtime(wb, &shared_bufs);
       const ParTask& task = tasks[static_cast<std::size_t>(c)];
       if (task.inner_begin < 0) {
-        run_loop_range(wrt, a.id, task.root_begin, task.root_end);
+        run_range(wrt, a.id, task.root_begin, task.root_end);
       } else {
         // Nested task: bind the single root position, then run the second
         // loop over the narrowed range (the root body is exactly this
         // loop, by the nest_safe analysis).
         if (root.sparse) {
           const int lvl = root.csf_level;
-          wrt.idx_val[static_cast<std::size_t>(root.index)] =
+          wrt.ctx.idx_val[root.index] =
               csf.level_idx(lvl)[static_cast<std::size_t>(task.root_begin)];
-          wrt.csf_node[static_cast<std::size_t>(lvl)] = task.root_begin;
+          wrt.ctx.csf_node[lvl] = task.root_begin;
         } else {
-          wrt.idx_val[static_cast<std::size_t>(root.index)] =
-              task.root_begin;
+          wrt.ctx.idx_val[root.index] = task.root_begin;
         }
-        run_loop_range(wrt, meta.inner_loop, task.inner_begin,
-                       task.inner_end);
+        run_range(wrt, meta.inner_loop, task.inner_begin, task.inner_end);
       }
     });
 
     if (!dense_direct) {
-      reduce_partials(pool, dense_partial, dense_out_len, rt.out_dense_data);
+      reduce_partials(pool, dense_partial, dense_out_len, b.out_dense);
     }
     if (!sparse_direct) {
-      reduce_partials(pool, sparse_partial, sparse_out_len,
-                      rt.out_sparse_data);
+      reduce_partials(pool, sparse_partial, sparse_out_len, b.out_sparse);
     }
 
     ++st.parallel_regions;

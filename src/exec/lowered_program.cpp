@@ -8,24 +8,20 @@ namespace spttn::lowered {
 
 namespace {
 
-inline const double* opd_addr(const Operand& o, const ExecCtx& ctx) {
-  const double* ptr = ctx.table[static_cast<std::size_t>(o.slot)];
-  for (int d = 0; d < o.ndeps; ++d) {
-    ptr += ctx.idx_val[o.deps[static_cast<std::size_t>(d)].idx] *
-           o.deps[static_cast<std::size_t>(d)].stride;
+inline double* opd_addr(const LoweredProgram& p, const Operand& o,
+                        const ExecCtx& ctx) {
+  double* ptr = ctx.table[o.slot];
+  const Dep* dep = p.deps.data() + o.dep_begin;
+  for (std::int32_t d = 0; d < o.ndeps; ++d) {
+    ptr += ctx.idx_val[dep[d].idx] * dep[d].stride;
   }
   if (o.leaf) ptr += ctx.csf_node[ctx.leaf_level];
   return ptr;
 }
 
-inline double* opd_addr_mut(const Operand& o, const ExecCtx& ctx) {
-  return const_cast<double*>(opd_addr(o, ctx));
-}
-
 /// Innermost kernels, one instantiation per InnerKind. Each mirrors the
 /// corresponding kernels.cpp loop exactly (same accumulation order, and
-/// alpha = 1.0 hadamard multiplies are exact), so lowered execution is
-/// bit-identical to the interpreter.
+/// alpha = 1.0 hadamard multiplies are exact).
 template <InnerKind K>
 inline void apply_inner(const LTerm& t, const double* l, const double* r,
                         double* o) {
@@ -62,53 +58,73 @@ inline void apply_inner(const LTerm& t, const double* l, const double* r,
   }
 }
 
-/// Outer collapsed levels in the interpreter's run_inner nesting order.
+/// Collapsed outer levels, outermost first; `lv` points at the term's
+/// first entry in LoweredProgram::levels.
 template <InnerKind K>
-void run_levels(const LTerm& t, int level, const double* l, const double* r,
-                double* o) {
+void run_levels(const LTerm& t, const Level* lv, std::int32_t level,
+                const double* l, const double* r, double* o) {
   if (level == t.outer_depth) {
     apply_inner<K>(t, l, r, o);
     return;
   }
-  const auto lv = static_cast<std::size_t>(level);
-  for (std::int64_t i = 0; i < t.oext[lv]; ++i) {
-    run_levels<K>(t, level + 1, l + i * t.ols[lv], r + i * t.ors[lv],
-                  o + i * t.oos[lv]);
+  const Level& v = lv[level];
+  for (std::int64_t i = 0; i < v.ext; ++i) {
+    run_levels<K>(t, lv, level + 1, l + i * v.ls, r + i * v.rs, o + i * v.os);
   }
 }
 
 template <InnerKind K>
-void run_term_k(const LTerm& t, const double* l, const double* r, double* o) {
+void run_term_k(const LTerm& t, const Level* lv, const double* l,
+                const double* r, double* o) {
   if (t.outer_depth == 0) {
     apply_inner<K>(t, l, r, o);
   } else {
-    run_levels<K>(t, 0, l, r, o);
+    run_levels<K>(t, lv, 0, l, r, o);
   }
 }
 
-void run_term(const ExecCtx& ctx, const LTerm& t) {
-  const double* l = opd_addr(t.lhs, ctx);
-  const double* r = opd_addr(t.rhs, ctx);
-  double* o = opd_addr_mut(t.out, ctx);
+void run_term(const LoweredProgram& p, const ExecCtx& ctx, const LTerm& t) {
+  const double* l = opd_addr(p, t.lhs, ctx);
+  const double* r = opd_addr(p, t.rhs, ctx);
+  double* o = opd_addr(p, t.out, ctx);
+  const Level* lv = p.levels.data() + t.level_begin;
   switch (t.inner) {
-    case InnerKind::kScalar: run_term_k<InnerKind::kScalar>(t, l, r, o); break;
-    case InnerKind::kDotU: run_term_k<InnerKind::kDotU>(t, l, r, o); break;
-    case InnerKind::kDotG: run_term_k<InnerKind::kDotG>(t, l, r, o); break;
-    case InnerKind::kAxpyLU: run_term_k<InnerKind::kAxpyLU>(t, l, r, o); break;
-    case InnerKind::kAxpyLG: run_term_k<InnerKind::kAxpyLG>(t, l, r, o); break;
-    case InnerKind::kAxpyRU: run_term_k<InnerKind::kAxpyRU>(t, l, r, o); break;
-    case InnerKind::kAxpyRG: run_term_k<InnerKind::kAxpyRG>(t, l, r, o); break;
-    case InnerKind::kHadU: run_term_k<InnerKind::kHadU>(t, l, r, o); break;
-    case InnerKind::kHadG: run_term_k<InnerKind::kHadG>(t, l, r, o); break;
+    case InnerKind::kScalar:
+      run_term_k<InnerKind::kScalar>(t, lv, l, r, o);
+      break;
+    case InnerKind::kDotU:
+      run_term_k<InnerKind::kDotU>(t, lv, l, r, o);
+      break;
+    case InnerKind::kDotG:
+      run_term_k<InnerKind::kDotG>(t, lv, l, r, o);
+      break;
+    case InnerKind::kAxpyLU:
+      run_term_k<InnerKind::kAxpyLU>(t, lv, l, r, o);
+      break;
+    case InnerKind::kAxpyLG:
+      run_term_k<InnerKind::kAxpyLG>(t, lv, l, r, o);
+      break;
+    case InnerKind::kAxpyRU:
+      run_term_k<InnerKind::kAxpyRU>(t, lv, l, r, o);
+      break;
+    case InnerKind::kAxpyRG:
+      run_term_k<InnerKind::kAxpyRG>(t, lv, l, r, o);
+      break;
+    case InnerKind::kHadU:
+      run_term_k<InnerKind::kHadU>(t, lv, l, r, o);
+      break;
+    case InnerKind::kHadG:
+      run_term_k<InnerKind::kHadG>(t, lv, l, r, o);
+      break;
   }
 }
 
 /// The fused sparse-loop body: branchless operand addressing per nonzero,
 /// kernel switch hoisted out of the loop by the template instantiation.
 template <InnerKind K>
-void chain_loop(const LTerm& t, const LChain& c, const std::int64_t* idx,
-                const double* lb, const double* rb, double* ob,
-                std::int64_t begin, std::int64_t end) {
+void chain_loop(const LTerm& t, const Level* lv, const LChain& c,
+                const std::int64_t* idx, const double* lb, const double* rb,
+                double* ob, std::int64_t begin, std::int64_t end) {
   if (t.outer_depth == 0) {
     for (std::int64_t p = begin; p < end; ++p) {
       const std::int64_t iv = idx[p];
@@ -120,56 +136,57 @@ void chain_loop(const LTerm& t, const LChain& c, const std::int64_t* idx,
   }
   for (std::int64_t p = begin; p < end; ++p) {
     const std::int64_t iv = idx[p];
-    run_levels<K>(t, 0, lb + iv * c.l_idx + p * c.l_leaf,
+    run_levels<K>(t, lv, 0, lb + iv * c.l_idx + p * c.l_leaf,
                   rb + iv * c.r_idx + p * c.r_leaf,
                   ob + iv * c.o_idx + p * c.o_leaf);
   }
 }
 
-void run_chain(const LoweredProgram& p, ExecCtx& ctx, const LLoop& loop,
+void run_chain(const LoweredProgram& p, const ExecCtx& ctx, const LLoop& loop,
                std::int64_t begin, std::int64_t end) {
   const LChain& c = loop.chain;
   const LTerm& t = p.terms[static_cast<std::size_t>(c.term)];
   // Loop-invariant operand parts resolve once; only the chain multipliers
   // vary inside the nonzero loop.
-  const double* lb = opd_addr(t.lhs, ctx);
-  const double* rb = opd_addr(t.rhs, ctx);
-  double* ob = opd_addr_mut(t.out, ctx);
+  const double* lb = opd_addr(p, t.lhs, ctx);
+  const double* rb = opd_addr(p, t.rhs, ctx);
+  double* ob = opd_addr(p, t.out, ctx);
   const std::int64_t* idx = ctx.csf->level_idx(loop.csf_level).data();
+  const Level* lv = p.levels.data() + t.level_begin;
   switch (t.inner) {
     case InnerKind::kScalar:
-      chain_loop<InnerKind::kScalar>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kScalar>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kDotU:
-      chain_loop<InnerKind::kDotU>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kDotU>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kDotG:
-      chain_loop<InnerKind::kDotG>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kDotG>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kAxpyLU:
-      chain_loop<InnerKind::kAxpyLU>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kAxpyLU>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kAxpyLG:
-      chain_loop<InnerKind::kAxpyLG>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kAxpyLG>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kAxpyRU:
-      chain_loop<InnerKind::kAxpyRU>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kAxpyRU>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kAxpyRG:
-      chain_loop<InnerKind::kAxpyRG>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kAxpyRG>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kHadU:
-      chain_loop<InnerKind::kHadU>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kHadU>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
     case InnerKind::kHadG:
-      chain_loop<InnerKind::kHadG>(t, c, idx, lb, rb, ob, begin, end);
+      chain_loop<InnerKind::kHadG>(t, lv, c, idx, lb, rb, ob, begin, end);
       break;
   }
 }
 
-void run_op(const LoweredProgram& p, ExecCtx& ctx, const LOp& op);
+void op_impl(const LoweredProgram& p, const ExecCtx& ctx, const LOp& op);
 
-void run_body(const LoweredProgram& p, ExecCtx& ctx, const LLoop& loop,
+void run_body(const LoweredProgram& p, const ExecCtx& ctx, const LLoop& loop,
               std::int64_t begin, std::int64_t end) {
   if (loop.sparse) {
     const std::int64_t* idx = ctx.csf->level_idx(loop.csf_level).data();
@@ -178,26 +195,35 @@ void run_body(const LoweredProgram& p, ExecCtx& ctx, const LLoop& loop,
     for (std::int64_t n = begin; n < end; ++n) {
       *iv = idx[n];
       *node = n;
-      for (const LOp& op : loop.body) run_op(p, ctx, op);
+      for (const LOp& op : loop.body) op_impl(p, ctx, op);
     }
   } else {
     std::int64_t* iv = ctx.idx_val + loop.index;
     for (std::int64_t i = begin; i < end; ++i) {
       *iv = i;
-      for (const LOp& op : loop.body) run_op(p, ctx, op);
+      for (const LOp& op : loop.body) op_impl(p, ctx, op);
     }
   }
 }
 
-void run_op(const LoweredProgram& p, ExecCtx& ctx, const LOp& op) {
+/// The op runner behind run_op, kept internal so the loop bodies above
+/// can inline it.
+inline void op_impl(const LoweredProgram& p, const ExecCtx& ctx,
+                    const LOp& op) {
   switch (op.kind) {
     case LOp::Kind::kTerm:
-      run_term(ctx, p.terms[static_cast<std::size_t>(op.id)]);
+      run_term(p, ctx, p.terms[static_cast<std::size_t>(op.id)]);
       break;
     case LOp::Kind::kReset: {
+      // A scalar buffer (reset once per nonzero in dot chains such as
+      // TTTP's) is cleared by a store: a memset call costs more than it.
       const LReset& r = p.resets[static_cast<std::size_t>(op.id)];
-      std::memset(ctx.table[static_cast<std::size_t>(r.slot)], 0,
-                  static_cast<std::size_t>(r.len) * sizeof(double));
+      double* buf = ctx.table[r.slot];
+      if (r.len == 1) {
+        *buf = 0.0;
+      } else {
+        std::memset(buf, 0, static_cast<std::size_t>(r.len) * sizeof(double));
+      }
       break;
     }
     case LOp::Kind::kLoop: {
@@ -224,7 +250,11 @@ void run_op(const LoweredProgram& p, ExecCtx& ctx, const LOp& op) {
 
 }  // namespace
 
-void run_loop(const LoweredProgram& p, ExecCtx& ctx, std::int32_t loop,
+void run_op(const LoweredProgram& p, const ExecCtx& ctx, const LOp& op) {
+  op_impl(p, ctx, op);
+}
+
+void run_loop(const LoweredProgram& p, const ExecCtx& ctx, std::int32_t loop,
               std::int64_t begin, std::int64_t end) {
   const LLoop& l = p.loops[static_cast<std::size_t>(loop)];
   if (l.is_chain) {
@@ -236,10 +266,13 @@ void run_loop(const LoweredProgram& p, ExecCtx& ctx, std::int32_t loop,
 
 std::size_t LoweredProgram::bytes() const {
   std::size_t b = sizeof(LoweredProgram);
+  b += top.capacity() * sizeof(LOp);
   b += loops.capacity() * sizeof(LLoop);
   for (const LLoop& l : loops) b += l.body.capacity() * sizeof(LOp);
   b += terms.capacity() * sizeof(LTerm);
   b += resets.capacity() * sizeof(LReset);
+  b += deps.capacity() * sizeof(Dep);
+  b += levels.capacity() * sizeof(Level);
   b += slots.capacity() * sizeof(SlotSource);
   b += loop_of.capacity() * sizeof(std::int32_t);
   return b;

@@ -227,7 +227,7 @@ class KernelCache {
 /// Estimated resident bytes of one cache entry: signature + kernel + plan
 /// (path, order, tree, buffers) structure sizes plus the compiled
 /// executor's program metadata and per-execution buffer working set.
-/// When `exec` is provided, its actual program footprint (the interpreted
+/// When `exec` is provided, its actual program footprint (the compiled
 /// action tree plus the lowered flat program,
 /// FusedExecutor::program_bytes) replaces the per-action metadata
 /// heuristic, so max_bytes budgeting charges what the executor really

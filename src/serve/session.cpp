@@ -44,11 +44,6 @@ struct Session::Impl {
     args.out_dense = out_dense;
     args.out_sparse = out_sparse;
     args.num_threads = num_threads;
-    // Tier preference is per session (PlannerOptions::lower), applied per
-    // execution: the cached executor is shared with sessions that may have
-    // chosen differently.
-    args.tier =
-        options.lower ? ExecTier::kLowered : ExecTier::kInterpret;
     prep.entry->exec->execute(args);
   }
 };

@@ -3,9 +3,13 @@
 // and must make optimization progress.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "apps/decompose.hpp"
 #include "apps/linalg.hpp"
 #include "tensor/generate.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace spttn {
@@ -106,6 +110,49 @@ TEST(CpAls, ImprovesFitOnSparseTensor) {
   for (std::size_t s = 1; s < report.fits.size(); ++s) {
     EXPECT_GE(report.fits[s], report.fits[s - 1] - 1e-7);
   }
+}
+
+// cp_fit walks factor rows through pointers; it must equal the fit built
+// from CpModel::value_at bit for bit (same products, same summation order).
+TEST(CpFit, MatchesPerEntryModelValues) {
+  Rng rng(45);
+  const CooTensor t = lowrank_coo({12, 9, 7}, 3, 400, 0.05, rng);
+  const CpModel model = make_cp_model(t, 3, rng);
+  double tnorm2 = 0;
+  for (double v : t.values()) tnorm2 += v * v;
+  double inner = 0;
+  for (std::int64_t e = 0; e < t.nnz(); ++e) {
+    inner += t.value(e) * model.value_at(t.coord(e));
+  }
+  DenseTensor gprod;
+  for (std::size_t m = 0; m < model.factors.size(); ++m) {
+    const DenseTensor g = gram(model.factors[m]);
+    gprod = (m == 0) ? g : hadamard(gprod, g);
+  }
+  const double tnorm = std::sqrt(tnorm2);
+  const double squared = tnorm * tnorm;
+  const double resid2 =
+      std::max(0.0, squared - 2 * inner + element_sum(gprod));
+  EXPECT_EQ(cp_fit(t, model), 1.0 - std::sqrt(resid2) / std::sqrt(squared));
+}
+
+TEST(CpFit, RejectsMisshapenModel) {
+  Rng rng(46);
+  const CooTensor t = lowrank_coo({6, 5, 4}, 2, 60, 0.0, rng);
+  const CpModel good = make_cp_model(t, 2, rng);
+  EXPECT_NO_THROW(cp_fit(t, good));
+
+  CpModel short_rows = good;
+  short_rows.factors[1] = DenseTensor({4, 2});  // mode 1 has extent 5
+  EXPECT_THROW(cp_fit(t, short_rows), Error);
+
+  CpModel wrong_rank = good;
+  wrong_rank.rank = 3;  // factors hold 2 columns
+  EXPECT_THROW(cp_fit(t, wrong_rank), Error);
+
+  CpModel missing = good;
+  missing.factors.pop_back();
+  EXPECT_THROW(cp_fit(t, missing), Error);
 }
 
 TEST(CpAls, WorksOnOrder4) {

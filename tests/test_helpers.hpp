@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "analysis/kernel_suite.hpp"
+#include "exec/reference.hpp"
 #include "exec/spttn.hpp"
 #include "tensor/generate.hpp"
 #include "util/rng.hpp"
@@ -41,6 +42,30 @@ inline std::vector<KernelCase> paper_kernels() { return paper_kernel_suite(); }
 inline std::unique_ptr<Instance> make_instance(const KernelCase& kc,
                                                std::uint64_t seed) {
   return make_suite_instance(kc, seed);
+}
+
+/// reference_execute's output for `inst`: the dense output's values in
+/// storage order, or one value per nonzero for a sparse output.
+inline std::vector<double> reference_values(const Instance& inst) {
+  const Kernel& k = inst.bound.kernel;
+  if (k.output_is_sparse()) {
+    std::vector<double> out(static_cast<std::size_t>(inst.sparse.nnz()), 0.0);
+    reference_execute(k, inst.sparse, inst.dense_slots(), nullptr, out);
+    return out;
+  }
+  DenseTensor out = make_output(inst.bound);
+  reference_execute(k, inst.sparse, inst.dense_slots(), &out, {});
+  return {out.values().begin(), out.values().end()};
+}
+
+/// A generated network as a suite kernel with the given nonzero fraction.
+inline SuiteKernel to_suite(const GeneratedNetwork& net, double sparsity) {
+  SuiteKernel sk;
+  sk.name = net.name;
+  sk.expr = net.expr;
+  sk.dims = net.dims;
+  sk.sparsity = sparsity;
+  return sk;
 }
 
 }  // namespace spttn::testing

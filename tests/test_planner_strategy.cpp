@@ -22,6 +22,7 @@ namespace spttn {
 namespace {
 
 using testing::paper_kernels;
+using testing::to_suite;
 
 std::string read_golden(const std::string& kernel, const std::string& set) {
   const std::string path = std::string(SPTTN_SOURCE_DIR) +
@@ -140,15 +141,6 @@ TEST(PlannerStrategy, TinyNodeBudgetStillReturnsFeasiblePlan) {
   }
 }
 
-SuiteKernel to_suite(const GeneratedNetwork& net, double sparsity) {
-  SuiteKernel sk;
-  sk.name = net.name;
-  sk.expr = net.expr;
-  sk.dims = net.dims;
-  sk.sparsity = sparsity;
-  return sk;
-}
-
 // The acceptance scenario: an order-8 random network whose path space the
 // exact enumeration cannot finish in any reasonable time (n inputs admit
 // n!(n-1)!/2^(n-1) ordered pairwise paths — over 1.5M at n=8, tens of
@@ -240,11 +232,10 @@ TEST(PlannerStrategy, CacheHashKeysAnytimeFieldsOnlyUnderAnytime) {
   EXPECT_EQ(planner_options_hash(inert), base)
       << "anytime knobs fragmented the exact cache";
 
-  // verify/lower stay excluded regardless of strategy (they do not change
-  // the chosen plan).
+  // verify stays excluded regardless of strategy (it does not change the
+  // chosen plan).
   PlannerOptions toggles = exact;
   toggles.verify = true;
-  toggles.lower = false;
   EXPECT_EQ(planner_options_hash(toggles), base);
 
   PlannerOptions anytime = exact;
@@ -270,7 +261,6 @@ TEST(PlannerStrategy, CacheHashKeysAnytimeFieldsOnlyUnderAnytime) {
 
   PlannerOptions any_toggles = anytime;
   any_toggles.verify = true;
-  any_toggles.lower = false;
   EXPECT_EQ(planner_options_hash(any_toggles), any_base);
 }
 
